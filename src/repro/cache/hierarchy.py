@@ -82,17 +82,6 @@ class CacheHierarchy:
         line.state = MODIFIED
         return AccessResult(HIT, l1_hit, silent_upgrade=silent)
 
-    def bulk_residency(self, line_addrs, l2_set_ids=None):
-        """L2-resident line (or None) per address, for batch classification.
-
-        The columnar engine (``cpu.columnar``) uses this to split a
-        reference batch into a vectorizable pure prefix (L2 hits whose
-        outcome cannot perturb later lookups) and scalar fallout
-        references; LRU order and hit counters are untouched, exactly
-        like :meth:`SetAssocCache.peek`.
-        """
-        return self.l2.bulk_peek(line_addrs, l2_set_ids)
-
     def write_value(self, line_addr: int, value: int) -> None:
         """Record the new value of a dirty line after a store."""
         line = self.l2.peek(line_addr)
@@ -138,7 +127,6 @@ class CacheHierarchy:
             return None
         value = line.value if line.state == MODIFIED else None
         line.state = SHARED
-        self.l2.epoch += 1          # M/E -> S invalidates write-purity
         return value
 
     # -- checkpoint / recovery support ---------------------------------------
@@ -160,7 +148,6 @@ class CacheHierarchy:
         line = self.l2.peek(line_addr)
         if line is not None and line.state == MODIFIED:
             line.state = SHARED
-            self.l2.epoch += 1      # M -> S invalidates write-purity
 
     def clear(self) -> None:
         """Invalidate everything (recovery wipes the caches)."""

@@ -1095,8 +1095,8 @@ def cmd_profile(args) -> int:
     share = fallout_share(profile)
     print(f"\nattribution: {100 * coverage:.1f}% of machine.run wall "
           f"time attributed to {len(profile['actors'])} actors")
-    print(f"tier split: {100 * share:.1f}% of actor time in scalar "
-          f"protocol fallout (docs/PERFORMANCE.md §1b)")
+    print(f"tier split: {100 * share:.1f}% of actor time in "
+          f"protocol fallout (docs/OBSERVABILITY.md)")
     if args.flame:
         lines = flamegraph_lines(profile)
         with open(args.flame, "w", encoding="utf-8") as fh:

@@ -32,23 +32,23 @@ an untraced run pays nothing; the reference loop does not emit
 batch events do not affect).
 
 The same bind-time pattern powers the host-time tier split
-(docs/OBSERVABILITY.md): with a machine profiler installed, the scalar
+(docs/OBSERVABILITY.md): with a machine profiler installed, the
 directory-protocol fallout calls are wrapped with ``perf_counter``
-timers into per-node fallout cells, quantifying the
-docs/PERFORMANCE.md §1b ceiling.  The reference loop stays
-uninstrumented, exactly like it does for ``mem`` events.
+timers into per-node fallout cells (:func:`timed_protocol`).  The
+reference loop stays uninstrumented, exactly like it does for ``mem``
+events.
 """
 
 from __future__ import annotations
 
 import os
+from time import perf_counter
 from typing import TYPE_CHECKING, Iterator, Optional
 
 import numpy as np
 
 from repro.cache.cache import EXCLUSIVE, MODIFIED, SHARED
 from repro.cache.hierarchy import HIT, NEED_GETS, NEED_GETX, NEED_UPGRADE
-from repro.cpu.columnar import bind_columnar, timed_protocol
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.machine.system import Machine
@@ -57,18 +57,36 @@ if TYPE_CHECKING:  # pragma: no cover
 BARRIER_POLL_NS = 500
 
 #: Execution-tier switch (docs/PERFORMANCE.md).  ``REPRO_FASTPATH=0``
-#: selects the layered reference loop everywhere; ``scalar`` (or the
-#: older alias ``compiled``) stops at the inlined scalar fast path; any
-#: other value — including the default ``1`` — enables the columnar
-#: batch engine on top of it.
-_TIER_ENV = os.environ.get("REPRO_FASTPATH", "1")
-FASTPATH_DEFAULT = _TIER_ENV != "0"
-COLUMNAR_DEFAULT = FASTPATH_DEFAULT and _TIER_ENV not in ("scalar",
-                                                          "compiled")
+#: selects the layered reference loop everywhere; any other value —
+#: including the default ``1`` — selects the inlined fast path.
+FASTPATH_DEFAULT = os.environ.get("REPRO_FASTPATH", "1") != "0"
 
-_NO_GAPS = np.empty(0, dtype=np.int64)
-_NO_ADDRS = np.empty(0, dtype=np.int64)
-_NO_WRITES = np.empty(0, dtype=bool)
+
+def timed_protocol(read, write, cell):
+    """Wrap the protocol entry points with host-time fallout timers.
+
+    ``cell`` is a mutable ``[seconds, calls]`` list (one per node,
+    handed out by ``Profiler.fallout_cell``) mutated in place, so the
+    instrumented hot loop performs no dict lookups.  Used by the fast
+    path at closure-bind time when a machine profiler is installed;
+    unprofiled binds keep the raw bound methods.
+    """
+
+    def timed_read(node, line, t):
+        begin = perf_counter()
+        done = read(node, line, t)
+        cell[0] += perf_counter() - begin
+        cell[1] += 1
+        return done
+
+    def timed_write(node, line, t, upgrade):
+        begin = perf_counter()
+        done = write(node, line, t, upgrade)
+        cell[0] += perf_counter() - begin
+        cell[1] += 1
+        return done
+
+    return timed_read, timed_write
 
 
 class Processor:
@@ -77,9 +95,7 @@ class Processor:
     __slots__ = ("machine", "node_id", "time", "finished", "killed",
                  "finish_time", "mem_refs", "_stream", "_gaps", "_vaddrs",
                  "_writes", "_index", "_barrier_index", "_waiting_barrier",
-                 "_chunks", "fastpath", "columnar", "_batch_fn",
-                 "_columnar_fn", "_chunk_serial", "_lists_cache",
-                 "_chunk_cols")
+                 "_chunks", "fastpath", "_batch_fn")
 
     def __init__(self, machine: "Machine", node_id: int,
                  stream: Iterator) -> None:
@@ -91,25 +107,20 @@ class Processor:
         self.finish_time: Optional[int] = None
         self.mem_refs = 0
         self._stream = stream
-        #: The in-flight chunk's columns, kept as numpy arrays
-        #: end-to-end (the columnar chunk contract, docs/PERFORMANCE.md).
-        self._gaps = _NO_GAPS
-        self._vaddrs = _NO_ADDRS
-        self._writes = _NO_WRITES
+        #: The in-flight chunk's columns, as plain lists: list indexing
+        #: is several times faster than numpy scalar indexing, and plain
+        #: ints keep ``self.time`` JSON-serializable.
+        self._gaps: list = []
+        self._vaddrs: list = []
+        self._writes: list = []
         self._index = 0
         self._barrier_index = 0          # how many barriers passed
         self._waiting_barrier = False
         self._chunks = 0                 # stream chunks consumed so far
-        #: Per-processor tier switches (tests flip them to compare):
-        #: ``fastpath`` False selects the reference loop; ``columnar``
-        #: picks between the batch engine and the scalar fast path.
+        #: Per-processor tier switch (tests flip it to compare):
+        #: ``fastpath`` False selects the reference loop.
         self.fastpath = FASTPATH_DEFAULT
-        self.columnar = COLUMNAR_DEFAULT
         self._batch_fn = None
-        self._columnar_fn = None
-        self._chunk_serial = 0           # bumped whenever _gaps et al. change
-        self._lists_cache = None         # scalar tiers' per-chunk list memo
-        self._chunk_cols = None          # columnar engine's per-chunk cache
 
     # -- simulator actor protocol ------------------------------------------
 
@@ -134,24 +145,14 @@ class Processor:
         self.killed = True
 
     def invalidate_fastpath(self) -> None:
-        """Drop the compiled batch closures so machine state is re-read.
+        """Drop the compiled batch closure so machine state is re-read.
 
-        The closures capture machine invariants — including the tracer
+        The closure captures machine invariants — including the tracer
         — at bind time; anything that changes them after a batch has
         run (``Machine.install_tracer``) must invalidate so the next
-        batch re-binds against the new state.  The columnar engine may
-        hold the L1 tag filter virtualized (a pending stream not yet
-        applied to the set dicts); its sync hook materializes that
-        state before the closure is dropped.
+        batch re-binds against the new state.
         """
-        hier = self.machine.nodes[self.node_id].hierarchy
-        for cache in (hier.l1, hier.l2):
-            if cache.sync_hook is not None:
-                cache.sync_hook()
-                cache.sync_hook = None
         self._batch_fn = None
-        self._columnar_fn = None
-        self._chunk_cols = None
 
     # -- snapshot / restore (docs/SNAPSHOTS.md) ------------------------------
 
@@ -182,10 +183,9 @@ class Processor:
 
         The machine's workload must already be attached.  The current
         reference chunk (if the snapshot rests mid-chunk) is re-derived
-        from the replayed stream's final yield and resumes as columnar
-        arrays plus the saved index — no Python-list materialization;
-        barrier and marker chunks leave the reference arrays empty,
-        exactly as :meth:`_next_chunk` does.
+        from the replayed stream's final yield and resumes at the saved
+        index; barrier and marker chunks leave the reference columns
+        empty, exactly as :meth:`_next_chunk` does.
         """
         self.time = state["time"]
         self.finished = state["finished"]
@@ -197,44 +197,20 @@ class Processor:
         self._waiting_barrier = state["waiting_barrier"]
         self._chunks = state["chunks"]
         self._batch_fn = None
-        self._columnar_fn = None
-        self._chunk_cols = None
-        self._lists_cache = None
-        self._chunk_serial += 1
-        # Drop any columnar sync hooks WITHOUT firing them: the restored
-        # cache state is authoritative and the closures' pending virtual
-        # streams/reorders are stale by definition.
-        hier = self.machine.nodes[self.node_id].hierarchy
-        hier.l1.sync_hook = None
-        hier.l2.sync_hook = None
-        self._gaps, self._vaddrs, self._writes = (_NO_GAPS, _NO_ADDRS,
-                                                  _NO_WRITES)
+        self._gaps, self._vaddrs, self._writes = [], [], []
         if self.finished:
             return
         stream, last = self.machine.workload.replay_stream(self.node_id,
                                                            self._chunks)
         self._stream = stream
         if last is not None and last[0] not in ("warmup_done", "barrier"):
-            _tag, gaps, vaddrs, writes = last
-            self._gaps = np.asarray(gaps, dtype=np.int64)
-            self._vaddrs = np.asarray(vaddrs, dtype=np.int64)
-            self._writes = np.asarray(writes, dtype=bool)
+            self._set_chunk(last)
 
     # -- execution ---------------------------------------------------------------
 
     def _run_batch(self) -> Optional[int]:
         if not self.fastpath:
             return self._run_batch_reference()
-        if self.columnar:
-            col_fn = self._columnar_fn
-            if col_fn is None:
-                col_fn = bind_columnar(self)
-                if col_fn is None:       # unsupported geometry
-                    self.columnar = False
-                else:
-                    self._columnar_fn = col_fn
-            if col_fn is not None:
-                return col_fn()
         batch_fn = self._batch_fn
         if batch_fn is None:
             batch_fn = self._bind_fastpath()
@@ -243,28 +219,6 @@ class Processor:
                 return self._run_batch_reference()
             self._batch_fn = batch_fn
         return batch_fn()
-
-    def _chunk_lists(self) -> tuple:
-        """The in-flight chunk as plain Python lists, memoized per chunk.
-
-        The scalar tiers iterate references one at a time, where list
-        indexing is several times faster than numpy scalar indexing —
-        and plain ints keep ``self.time`` JSON-serializable.  The chunk
-        columns themselves stay numpy (the columnar contract); this
-        memo is derived state, invalidated by ``_chunk_serial``.
-        """
-        cached = self._lists_cache
-        serial = self._chunk_serial
-        if cached is not None and cached[0] == serial:
-            return cached[1]
-        gaps, vaddrs, writes = self._gaps, self._vaddrs, self._writes
-        lists = (gaps.tolist() if hasattr(gaps, "tolist") else list(gaps),
-                 vaddrs.tolist() if hasattr(vaddrs, "tolist")
-                 else list(vaddrs),
-                 writes.tolist() if hasattr(writes, "tolist")
-                 else list(writes))
-        self._lists_cache = (serial, lists)
-        return lists
 
     def _bind_fastpath(self):
         """Compile the inlined reference pipeline for this processor.
@@ -309,7 +263,7 @@ class Processor:
         next_store = machine.next_store_value
         # The inlined store-counter bumps below must honor the
         # test-only perturbation exactly like next_store_value does,
-        # or the three tiers would disagree under REPRO_PERTURB_STORE.
+        # or the two tiers would disagree under REPRO_PERTURB_STORE.
         perturb_store = machine.perturb_store
         l1_hit_ns = config.l1_hit_ns
         l2_hit_ns = config.l2_hit_ns
@@ -334,7 +288,7 @@ class Processor:
         def run_batch() -> Optional[int]:
             t = self.time
             deadline = t + quantum
-            gaps, vaddrs, writes = self._chunk_lists()
+            gaps, vaddrs, writes = self._gaps, self._vaddrs, self._writes
             i = self._index
             n = len(vaddrs)
             refs = l1h = l1m = l2h = l2m = silent = remote = fills = 0
@@ -361,7 +315,8 @@ class Processor:
                     if outcome is not None:
                         return outcome if outcome >= 0 else None
                     t = self.time
-                    gaps, vaddrs, writes = self._chunk_lists()
+                    gaps, vaddrs, writes = (self._gaps, self._vaddrs,
+                                            self._writes)
                     i = self._index
                     n = len(vaddrs)
                     continue
@@ -480,14 +435,14 @@ class Processor:
         translate = machine.addr_space.translate_line
         deadline = self.time + config.batch_quantum_ns
         overlap = config.miss_overlap
-        gaps, vaddrs, writes = self._chunk_lists()
+        gaps, vaddrs, writes = self._gaps, self._vaddrs, self._writes
 
         while True:
             if self._index >= len(vaddrs):
                 outcome = self._next_chunk()
                 if outcome is not None:
                     return outcome if outcome >= 0 else None
-                gaps, vaddrs, writes = self._chunk_lists()
+                gaps, vaddrs, writes = self._gaps, self._vaddrs, self._writes
                 continue
             i = self._index
             self.time += gaps[i]
@@ -540,23 +495,25 @@ class Processor:
         if chunk[0] == "barrier":
             release = self.machine.barrier_arrive(self._barrier_index,
                                                   self.node_id, self.time)
-            self._gaps, self._vaddrs, self._writes = (_NO_GAPS, _NO_ADDRS,
-                                                      _NO_WRITES)
+            self._gaps, self._vaddrs, self._writes = [], [], []
             self._index = 0
-            self._chunk_serial += 1
             if release is not None:
                 self._barrier_index += 1
                 self.time = max(self.time, release)
                 return None
             self._waiting_barrier = True
             return self.time + BARRIER_POLL_NS
-        _tag, gaps, vaddrs, writes = chunk
-        # The chunk columns stay numpy arrays end-to-end (the columnar
-        # contract): the batch engine consumes them directly, and the
-        # scalar tiers materialize plain lists lazily via _chunk_lists.
-        self._gaps = np.asarray(gaps, dtype=np.int64)
-        self._vaddrs = np.asarray(vaddrs, dtype=np.int64)
-        self._writes = np.asarray(writes, dtype=bool)
+        self._set_chunk(chunk)
         self._index = 0
-        self._chunk_serial += 1
         return None
+
+    def _set_chunk(self, chunk: tuple) -> None:
+        """Install an ``("ops", gaps, vaddrs, writes)`` chunk as lists.
+
+        Converted once per chunk: both tiers then index plain Python
+        ints and bools, whatever sequence type the workload yielded.
+        """
+        _tag, gaps, vaddrs, writes = chunk
+        self._gaps = np.asarray(gaps, dtype=np.int64).tolist()
+        self._vaddrs = np.asarray(vaddrs, dtype=np.int64).tolist()
+        self._writes = np.asarray(writes, dtype=bool).tolist()

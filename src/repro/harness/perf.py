@@ -4,8 +4,7 @@ Measures the simulator's end-to-end speed on the standard exhibit —
 the ``lu`` analog at scale 0.25 on the bench machine — and the sweep
 executor's parallel speedup, and emits a machine-readable report
 (``benchmarks/results/BENCH_throughput.json``) with each exhibit's
-refs/sec and its speedup against the *recorded* scalar-tier baseline,
-plus the columnar-vs-scalar tier comparison and its enforced floor.
+refs/sec and its speedup against the *recorded* fast-path baseline.
 Consumers:
 
 * ``benchmarks/test_simulator_throughput.py`` (``pytest -m perf``) —
@@ -32,9 +31,8 @@ from repro.machine.config import MachineConfig
 from repro.workloads.registry import get_workload
 
 #: refs/sec recorded in ``benchmarks/results/BENCH_throughput.json``
-#: by the compiled *scalar* fast path on the bench host, before the
-#: columnar batch engine landed.  (The pre-fast-path PR-1 seed recorded
-#: 319,002 refs/s in ``results/simulator_throughput.txt``.)
+#: by the compiled fast path on the bench host.  (The pre-fast-path
+#: seed recorded 319,002 refs/s in ``results/simulator_throughput.txt``.)
 RECORDED_BASELINE_REFS_PER_SEC = 752_941
 
 #: Fraction of the recorded baseline below which the harness *fails*
@@ -59,16 +57,6 @@ CACHE_HIT_MIN_SPEEDUP = 5.0
 #: re-simulation by at least this factor on the standard campaign
 #: exhibit (docs/SNAPSHOTS.md).
 CAMPAIGN_MIN_SPEEDUP = 5.0
-
-#: Hard floor on the columnar batch engine's speedup over the scalar
-#: fast path on the standard exhibit (same process, same rounds, so
-#: host noise largely cancels).  The *enforced* floor says "the
-#: default tier is never a pessimization"; the measured advantage on
-#: the bench host is ~1.1-1.25x and the ROADMAP's aspirational target
-#: is 3x+ (docs/PERFORMANCE.md discusses the gap: the directory
-#: protocol's scalar fallout path bounds the achievable speedup on
-#: miss-heavy exhibits).
-COLUMNAR_MIN_SPEEDUP = 1.02
 
 #: Hard ceiling on the *disabled* observability tax: a machine with
 #: the full hook surface installed but turned off (disabled tracer,
@@ -243,44 +231,6 @@ def measure_campaign_fork_speedup(rounds: int = 2) -> Dict[str, float]:
     }
 
 
-def measure_columnar_speedup(rounds: int = 3,
-                             scale: float = 0.25) -> Dict[str, float]:
-    """Columnar-vs-scalar refs/sec on the standard exhibit.
-
-    Runs the baseline exhibit once per execution tier — the compiled
-    scalar fast path and the columnar batch engine — by overriding the
-    processor tier defaults around machine construction (the in-process
-    equivalent of ``REPRO_FASTPATH=scalar``).  Both tiers use the same
-    best-of-``rounds`` protocol in the same process, so the reported
-    speedup is robust to host noise.  Gated in :func:`hard_failures`
-    by :data:`COLUMNAR_MIN_SPEEDUP`.
-    """
-    from repro.cpu import processor as processor_mod
-
-    saved = (processor_mod.FASTPATH_DEFAULT,
-             processor_mod.COLUMNAR_DEFAULT)
-    tiers: Dict[str, Dict[str, float]] = {}
-    try:
-        for tier, columnar in (("scalar", False), ("columnar", True)):
-            processor_mod.FASTPATH_DEFAULT = True
-            processor_mod.COLUMNAR_DEFAULT = columnar
-            tiers[tier] = measure_exhibit("baseline", scale=scale,
-                                          rounds=rounds)
-    finally:
-        (processor_mod.FASTPATH_DEFAULT,
-         processor_mod.COLUMNAR_DEFAULT) = saved
-    scalar_rate = tiers["scalar"]["refs_per_sec"]
-    columnar_rate = tiers["columnar"]["refs_per_sec"]
-    return {
-        "rounds": rounds,
-        "scale": scale,
-        "scalar_refs_per_sec": scalar_rate,
-        "columnar_refs_per_sec": columnar_rate,
-        "speedup": columnar_rate / scalar_rate if scalar_rate else 0.0,
-        "min_speedup": COLUMNAR_MIN_SPEEDUP,
-    }
-
-
 def measure_obs_overhead(rounds: int = 3,
                          scale: float = 0.25) -> Dict[str, float]:
     """Wall-clock tax of the observability surface when it is *off*.
@@ -422,7 +372,6 @@ def throughput_report(rounds: int = 3, scale: float = 0.25,
                       sweep_scale: float = 0.1,
                       include_cache: bool = True,
                       include_campaign: bool = True,
-                      include_columnar: bool = True,
                       include_obs: bool = True,
                       include_digest: bool = True) -> Dict:
     """The full ``BENCH_throughput.json`` payload."""
@@ -445,8 +394,6 @@ def throughput_report(rounds: int = 3, scale: float = 0.25,
                   if include_cache else None),
         "campaign": (measure_campaign_fork_speedup()
                      if include_campaign else None),
-        "columnar": (measure_columnar_speedup(rounds=rounds, scale=scale)
-                     if include_columnar else None),
         "obs": (measure_obs_overhead(rounds=rounds, scale=scale)
                 if include_obs else None),
         # The digest gate always measures its representative exhibit:
@@ -511,14 +458,6 @@ def hard_failures(report: Dict) -> List[str]:
             f"campaign: forked grid only "
             f"{campaign['speedup_vs_cold']:.1f}x faster than cold "
             f"replays (< {CAMPAIGN_MIN_SPEEDUP:.0f}x floor)")
-    columnar = report.get("columnar")
-    if columnar and columnar["speedup"] < COLUMNAR_MIN_SPEEDUP:
-        failures.append(
-            f"columnar: batch engine only {columnar['speedup']:.2f}x "
-            f"the scalar fast path "
-            f"({columnar['columnar_refs_per_sec']:,.0f} vs "
-            f"{columnar['scalar_refs_per_sec']:,.0f} refs/s, "
-            f"< {COLUMNAR_MIN_SPEEDUP:.2f}x floor)")
     obs = report.get("obs")
     if obs and obs["overhead_fraction"] > OBS_OVERHEAD_MAX:
         failures.append(
@@ -575,13 +514,6 @@ def format_report(report: Dict) -> str:
             f"{campaign['cold_wall_seconds']:.2f}s cold "
             f"({campaign['speedup_vs_cold']:.1f}x, warm image "
             f"{campaign['image_bytes']:,} bytes)")
-    columnar = report.get("columnar")
-    if columnar:
-        lines.append(
-            f"  columnar     {columnar['columnar_refs_per_sec']:>10,.0f} "
-            f"refs/s vs {columnar['scalar_refs_per_sec']:,.0f} scalar "
-            f"({columnar['speedup']:.2f}x, floor "
-            f"{columnar['min_speedup']:.2f}x)")
     obs = report.get("obs")
     if obs:
         lines.append(

@@ -135,9 +135,9 @@ def actor_table(profile: "dict") -> str:
     """Per-actor host-time attribution table (``repro profile``).
 
     One row per engine actor, hottest first, with the per-node tier
-    split: protocol-fallout seconds (the scalar directory-transaction
-    calls made by the batch tiers, docs/PERFORMANCE.md §1b) carved out
-    of the actor's dispatch seconds.
+    split: protocol-fallout seconds (the directory-transaction calls
+    made by the fast path, docs/OBSERVABILITY.md) carved out of the
+    actor's dispatch seconds.
     """
     fallout = profile.get("fallout", {})
     entries = sorted(profile.get("actors", {}).items(),

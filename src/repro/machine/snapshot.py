@@ -20,18 +20,13 @@ What is *not* serialized, and why it is safe:
 * **Workload streams.**  Streams are pure functions of (workload spec,
   proc id); each processor records how many chunks it consumed and
   restore replays that many (:meth:`repro.workloads.base.Workload.replay_stream`).
-* **Compiled fast paths.**  Batch closures (both the scalar fast path
-  and the columnar batch engine) flush their local counters at chunk
-  and deadline boundaries — exactly the points where the machine is
-  quiescent enough to snapshot — and are re-compiled lazily after a
-  restore.  The columnar engine additionally caches derived columns
-  (line addresses, L1 stack distances, L2 purity windows) and defers
-  L2 LRU refreshes; cache ``sync_hook``s force those pending refreshes
-  into the real dicts before ``snapshot()`` reads them, and ``restore``
-  drops the hooks so the restored dict state is authoritative.  Images
-  are therefore tier-independent: a snapshot captured under one
-  execution tier resumes bit-identically under any other
-  (``tests/test_columnar.py::TestSnapshotTierSwitch``).
+* **Compiled fast paths.**  The fast path's batch closure flushes its
+  local counters at chunk and deadline boundaries — exactly the
+  points where the machine is quiescent enough to snapshot — and is
+  re-compiled lazily after a restore.  It keeps no cache state of its
+  own (it mutates the live set dicts), so images are tier-independent:
+  a snapshot captured under one execution tier resumes bit-identically
+  under the other (``tests/test_tiers.py::TestSnapshotTierSwitch``).
 * **Static geometry.**  Parity layout, reserved regions, and the
   memoized geometry cache are pure functions of the configs.
 """

@@ -239,13 +239,6 @@ class AddressSpace:
             self._free_pages.append(free)
         self._fallback_node = 0
         self.first_touch_allocations = 0
-        #: Bumped on every restore.  ``(generation,
-        #: first_touch_allocations)`` keys any cached bulk translation:
-        #: within one run the pair identifies the page table uniquely
-        #: (allocations are monotone), and a rollback — which can
-        #: rewind the count and then re-allocate *different* pages —
-        #: changes the generation (docs/PERFORMANCE.md).
-        self.generation = 0
 
     # -- address arithmetic ------------------------------------------------
 
@@ -353,7 +346,6 @@ class AddressSpace:
         self._free_pages[:] = [list(free) for free in state["free_pages"]]
         self._fallback_node = state["fallback_node"]
         self.first_touch_allocations = state["first_touch_allocations"]
-        self.generation += 1
 
     def _next_node_with_space(self) -> int:
         n_nodes = self.config.n_nodes

@@ -112,7 +112,7 @@ def profile_counter_trace(profile: Dict) -> Dict:
     Renders a :func:`repro.obs.telemetry.profile_snapshot` as per-node
     counter tracks Perfetto draws as bar charts: dispatch seconds,
     activations, and the batch-vs-protocol-fallout split
-    (docs/PERFORMANCE.md §1b) per node, plus one machine-wide track
+    (docs/OBSERVABILITY.md) per node, plus one machine-wide track
     per timed component.  Counters are point-in-time (host wall clock
     has no simulated timeline), so every sample sits at ``ts`` 0.
     """

@@ -24,14 +24,12 @@ when no outermost ``machine.run`` timer ran.
 Beyond component timers, a profiler carries the *host-time
 attribution* maps filled by the engine's attributed dispatch loop
 (:meth:`repro.sim.engine.Simulator.run` with ``host_prof`` set) and
-the fast-path tier instrumentation (``cpu/processor.py`` /
-``cpu/columnar.py``):
+the fast-path tier instrumentation (``cpu/processor.py``):
 
 * :attr:`actors` — per-actor-id ``[seconds, activations]``;
 * :attr:`actor_meta` — per-actor-id ``(node, kind)`` labels;
-* :attr:`fallout` — per-node ``[seconds, calls]`` spent in the scalar
-  directory-protocol fallout path of the batch tiers (the
-  docs/PERFORMANCE.md §1b ceiling, measured rather than narrated).
+* :attr:`fallout` — per-node ``[seconds, calls]`` the fast path
+  spends in the directory-protocol fallout calls it cannot inline.
 
 All three are plain dicts of plain lists so profiles pickle across
 process pools and merge deterministically
@@ -138,7 +136,7 @@ class Profiler:
 
     @property
     def fallout_seconds(self) -> float:
-        """Total host seconds spent in the scalar protocol fallout path."""
+        """Total host seconds spent in the protocol fallout path."""
         return sum(cell[0] for cell in self.fallout.values())
 
     @property

@@ -141,9 +141,8 @@ def actor_coverage(profile: Dict) -> float:
 def fallout_share(profile: Dict) -> float:
     """Fraction of attributed actor time spent in protocol fallout.
 
-    Quantifies the docs/PERFORMANCE.md §1b ceiling from measurement:
-    fallout seconds (scalar directory-protocol calls made by the batch
-    tiers) over total per-actor dispatch seconds.
+    Fallout seconds (directory-protocol calls made by the fast path)
+    over total per-actor dispatch seconds (docs/OBSERVABILITY.md).
     """
     attributed = sum(a["seconds"] for a in profile.get("actors", {}).values())
     if attributed <= 0:

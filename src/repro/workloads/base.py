@@ -14,23 +14,15 @@ consumes a *stream* of chunks, where a chunk is either
 Virtual addresses live in a single shared space; the machine binds
 pages to physical memory on first touch.
 
-Columnar contract: the columnar batch engine (``repro.cpu.columnar``)
-consumes the ``gaps``/``vaddrs``/``writes`` arrays of an ``("ops", ...)``
-chunk wholesale — translating, probing, and classifying whole columns
-at once.  Two obligations follow for stream implementations:
-
-* the three arrays must be plain 1-D numpy arrays of equal length
-  (integer-valued; the engine casts addresses with ``astype(np.int64)``
-  and treats ``writes`` as a boolean mask), and
-* a chunk's arrays must never be mutated after it is yielded — the
-  engine caches per-chunk derived columns (line addresses, purity
-  windows) keyed by the chunk's identity, so in-place edits would
-  silently desynchronize the tiers.
-
-Streams that satisfy ``replay_stream``'s purity rule (below) get
-tier-independent snapshot/restore for free: the chunk counter is the
-only cursor, so an image captured under one execution tier resumes
-bit-identically under any other (tests/test_columnar.py).
+Streams must be pure and replayable: a processor's stream is a
+deterministic function of the workload and the processor id, so
+``replay_stream`` (below) can rebuild it and fast-forward to any chunk.
+The number of chunks consumed is therefore a processor's only cursor
+into its stream, and an image captured under one execution tier
+resumes bit-identically under the other (tests/test_tiers.py).  The
+processor copies each ``("ops", ...)`` chunk into plain lists as it
+arrives (int64 gaps and addresses, boolean writes), so the arrays are
+read exactly once.
 """
 
 from __future__ import annotations

@@ -19,13 +19,10 @@ so matching those statistics to a Splash-2 application's (Table 4)
 reproduces its overhead profile without executing the original binary.
 See DESIGN.md §3 for the substitution argument.
 
-Generated chunks satisfy the columnar contract (repro.workloads.base):
-each ``("ops", ...)`` chunk is materialized as fresh int64/bool numpy
-arrays that the generator never touches again, so the columnar batch
-engine may cache derived columns against chunk identity.  Generation
-is pure in (spec, proc_id) — each stream seeds its own PRNG from those
-alone — which is what makes ``replay_stream`` and tier-switching
-snapshot restores exact.
+Generated streams are pure and replayable (repro.workloads.base):
+generation is a function of (spec, proc_id) alone — each stream seeds
+its own PRNG from those — which is what makes ``replay_stream`` and
+tier-switching snapshot restores exact.
 """
 
 from __future__ import annotations

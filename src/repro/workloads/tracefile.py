@@ -14,14 +14,13 @@ File format (numpy ``.npz``): for each processor ``p`` and chunk index
 A ``header`` array holds the JSON metadata (name, n_procs, chunk
 kinds).
 
-Replayed chunks satisfy the columnar contract (repro.workloads.base):
-the arrays handed out by :class:`TraceWorkload` are the loaded ``.npz``
-columns themselves, never copied or mutated, with dtypes normalized at
-record time (int64 gaps/addresses, bool writes).  A recorded trace is
-therefore a valid input to every execution tier, and a record -> replay
-round-trip is bit-identical to the live run under the reference loop,
-the scalar fast path, and the columnar batch engine alike
-(tests/test_columnar.py::TestTracefileRoundtrip).
+Replayed streams are pure and replayable (repro.workloads.base): the
+arrays handed out by :class:`TraceWorkload` are the loaded ``.npz``
+columns themselves, with dtypes normalized at record time (int64
+gaps/addresses, bool writes), and a replay from chunk 0 always yields
+the same sequence.  A record -> replay round-trip is therefore
+bit-identical to the live run under both the reference loop and the
+fast path (tests/test_tiers.py::TestTracefileRoundtrip).
 """
 
 from __future__ import annotations

@@ -43,6 +43,25 @@ class TestSetIndex:
                 for page in range(64) for line in range(64)}
         assert len(used) == 16
 
+    @pytest.mark.parametrize("size,line", [
+        (4096, 64),           # 16 sets: plain modulo
+        (32 * 1024, 64),      # 512-line L2, 128 sets: page-hashed groups
+        (128 * 1024, 64),     # default L2, 512 sets
+        (48 * 4 * 128, 48),   # non-power-of-two line: no inline shift
+    ], ids=["plain", "grouped", "grouped-l2", "odd-line"])
+    @pytest.mark.parametrize("kind", [SetAssocCache, TagFilter])
+    def test_inlined_set_of_matches_set_index(self, kind, size, line):
+        """``_set_of`` inlines ``set_index`` with ``index_params``; the
+        fast path inlines the same formula, so both must pick the set
+        ``set_index`` names, across pages and far-apart addresses."""
+        cache = kind("t", size, 4, line)
+        sets = cache.raw_sets()
+        for page in (0, 1, 2, 3, 7, 64, 4097, (1 << 20) + 5):
+            for offset in range(0, 4096, 3 * line):
+                addr = (page * 4096 + offset) // line * line
+                chosen = sets[set_index(addr, line, cache.n_sets)]
+                assert cache._set_of(addr) is chosen, hex(addr)
+
 
 class TestLookupInsert:
     def test_miss_then_hit(self):

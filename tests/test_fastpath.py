@@ -89,11 +89,8 @@ class TestFallback:
         machine.attach_workload(ToyWorkload(rounds=1))
         proc = machine.processors[0]
         assert proc._batch_fn is None
-        assert proc._columnar_fn is None
         machine.run()
-        if proc.columnar:
-            assert proc._columnar_fn is not None
-        elif proc.fastpath:
+        if proc.fastpath:
             assert proc._batch_fn is not None
 
     def test_processor_slots(self):

@@ -110,13 +110,11 @@ class TestInstallTracerRebindsFastpath:
         machine.attach_workload(ToyWorkload(rounds=3))
         machine.run(until=5_000)            # compile untraced closures
         assert not machine.all_finished
-        assert any(p._batch_fn is not None or p._columnar_fn is not None
-                   for p in machine.processors)
+        assert any(p._batch_fn is not None for p in machine.processors)
 
         sink = RingBufferSink(capacity=1 << 20)
         machine.install_tracer(Tracer(sink))
-        assert all(p._batch_fn is None and p._columnar_fn is None
-                   for p in machine.processors)
+        assert all(p._batch_fn is None for p in machine.processors)
 
         machine.run()
         assert mem_batches(sink.events())   # new closure carries the hook

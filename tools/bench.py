@@ -45,9 +45,6 @@ def main(argv=None) -> int:
     parser.add_argument("--no-campaign-bench", action="store_true",
                         help="skip the fault-campaign fork-vs-cold "
                              "measurement (and its gate)")
-    parser.add_argument("--no-columnar-bench", action="store_true",
-                        help="skip the columnar-vs-scalar tier "
-                             "comparison (and its gate)")
     parser.add_argument("--no-obs-bench", action="store_true",
                         help="skip the disabled-observability overhead "
                              "measurement (and its gate)")
@@ -75,7 +72,6 @@ def main(argv=None) -> int:
                                sweep_scale=min(0.1, scale),
                                include_cache=not args.no_cache_bench,
                                include_campaign=not args.no_campaign_bench,
-                               include_columnar=not args.no_columnar_bench,
                                include_obs=not args.no_obs_bench,
                                include_digest=not args.no_digest_bench)
     os.makedirs(os.path.dirname(args.out), exist_ok=True)

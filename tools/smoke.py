@@ -24,10 +24,9 @@ Steps (documented in docs/OBSERVABILITY.md):
    "the simulator got 10x slower" mistakes without the full
    ``tools/bench.py`` run.
 6. Tier matrix: one small ``lu``/cp_parity run through each execution
-   tier (reference loop, scalar fast path, columnar batch engine) —
-   times, counters, and memory contents must be bit-identical
-   (docs/PERFORMANCE.md; the exhaustive oracle is
-   ``tests/test_columnar.py``).
+   tier (reference loop, scalar fast path) — times, counters, and
+   memory contents must be bit-identical (docs/PERFORMANCE.md; the
+   exhaustive oracle is ``tests/test_tiers.py``).
 7. Profile attribution: ``repro profile lu`` on the tiny machine must
    attribute at least half of ``machine.run``'s wall clock to actors
    (the real gate is 95%; the smoke floor only catches a broken
@@ -150,14 +149,13 @@ def step_tier_matrix() -> None:
     from repro.workloads.registry import get_workload
 
     fingerprints = {}
-    for tier in ("reference", "scalar", "columnar"):
+    for tier in ("reference", "scalar"):
         machine = build_machine("cp_parity", MachineConfig.tiny(4),
                                 50_000, **tiny_revive_overrides(4))
         machine.attach_workload(get_workload("lu", scale=0.02,
                                              n_procs=4))
         for proc in machine.processors:
-            proc.fastpath = tier != "reference"
-            proc.columnar = tier == "columnar"
+            proc.fastpath = tier == "scalar"
         machine.run()
         fingerprints[tier] = (
             machine.simulator.now,
@@ -168,14 +166,12 @@ def step_tier_matrix() -> None:
              for n in machine.nodes],
             [dict(n.memory.lines()) for n in machine.nodes],
         )
-    reference = fingerprints["reference"]
-    for tier in ("scalar", "columnar"):
-        if fingerprints[tier] != reference:
-            raise SystemExit(
-                f"tier matrix: the {tier} tier diverged from the "
-                f"reference loop on lu/cp_parity -- run "
-                f"pytest tests/test_columnar.py to localize")
-    print("  tier matrix: reference == scalar == columnar "
+    if fingerprints["scalar"] != fingerprints["reference"]:
+        raise SystemExit(
+            "tier matrix: the scalar tier diverged from the reference "
+            "loop on lu/cp_parity -- run pytest tests/test_tiers.py "
+            "to localize")
+    print("  tier matrix: reference == scalar "
           "(lu/cp_parity, "
           f"{fingerprints['reference'][1]:,} refs)")
 
@@ -381,7 +377,7 @@ def main() -> int:
         print("  ruff not installed -- skipped (optional dev dependency)")
     print("[4/10] perf smoke")
     step_perf_smoke()
-    print("[5/10] execution-tier matrix (reference/scalar/columnar)")
+    print("[5/10] execution-tier matrix (reference/scalar)")
     step_tier_matrix()
     print("[6/10] host-time attribution (repro profile lu)")
     step_profile()
